@@ -1263,6 +1263,14 @@ impl RunHost {
         Ok(())
     }
 
+    /// Whether an import (peer batch or coordinator inject) awaits its
+    /// acknowledgement on the next status report.
+    fn has_unacknowledged_imports(&self) -> bool {
+        self.events
+            .iter()
+            .any(|e| matches!(e, TransferEvent::Imported { .. }))
+    }
+
     fn import_batch(&mut self, batch: JobBatch) {
         if let Some(slice) = &batch.slice {
             self.worker.import_cache_slice(slice);
@@ -1457,6 +1465,23 @@ impl<'e, E: WorkerEndpoint> WorkerService<'e, E> {
                 if let Some(host) = self.runs.get_mut(&batch.run.0) {
                     host.import_batch(batch);
                 }
+            }
+
+            // Acknowledge imports before exploring. The next quantum can be
+            // long (it replays the imported jobs), and until the
+            // acknowledgement lands the coordinator holds the batch in flight
+            // against this worker's last — idle — report.
+            for host in self.runs.values_mut() {
+                if host.has_unacknowledged_imports() {
+                    if host.send_status(self.endpoint).is_err() {
+                        disconnected = true;
+                        break;
+                    }
+                    host.last_status = Instant::now();
+                }
+            }
+            if disconnected {
+                break;
             }
 
             // Explore: one quantum per run with pending work, so concurrent

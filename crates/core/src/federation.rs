@@ -170,6 +170,9 @@ struct UpwardState {
     gossip_dirty: bool,
     /// Per-member count of status bugs already forwarded upward.
     bugs_forwarded: Vec<usize>,
+    /// Whether the last digest reported completed paths together with a
+    /// non-empty frontier (the moment a crash provably strands work).
+    strands_work: bool,
 }
 
 /// A coordinator for one worker group inside a federated cluster.
@@ -200,11 +203,13 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
     }
 
     /// A flag that simulates a crash of a *running* sub-coordinator: once
-    /// set, the main loop returns at its next iteration without a word to
-    /// anyone — endpoints drop, heartbeats stop, and both the root and the
-    /// group members observe the silence exactly as they would a SIGKILL.
-    /// The flag is only honoured after the run has started (a sub killed
-    /// before it shipped the run specs never admitted observable work).
+    /// set, the main loop returns without a word to anyone — endpoints
+    /// drop, heartbeats stop, and both the root and the group members
+    /// observe the silence exactly as they would a SIGKILL. The crash waits
+    /// for progress: it lands right after the first digest that reports
+    /// completed paths while the group still holds pending work, so it
+    /// provably strands work the root must reclaim, however fast the group
+    /// explores (a sub killed before that never admitted observable work).
     pub fn abort_flag(&self) -> Arc<AtomicBool> {
         self.abort.clone()
     }
@@ -307,6 +312,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             pending_gossip: Vec::new(),
             gossip_dirty: false,
             bugs_forwarded: Vec::new(),
+            strands_work: false,
         };
         let mut last_balance = Instant::now();
         let mut last_gossip = Instant::now();
@@ -314,11 +320,12 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
         let mut stopping = false;
 
         loop {
-            // A set abort flag is a simulated SIGKILL: vanish mid-loop.
-            // Heartbeats stop and the endpoints drop with `self`; the root
-            // detects the silence and reclaims this group's last digest
-            // frontier, members detect the dead group endpoint and exit.
-            if self.abort.load(Ordering::Relaxed) {
+            // A set abort flag is a simulated SIGKILL: vanish mid-loop,
+            // once the last digest stranded work. Heartbeats stop and the
+            // endpoints drop with `self`; the root detects the silence and
+            // reclaims this group's last digest frontier, members detect
+            // the dead group endpoint and exit.
+            if up.strands_work && self.abort.load(Ordering::Relaxed) {
                 return Ok(summary);
             }
 
@@ -744,6 +751,7 @@ impl<U: WorkerEndpoint, C: CoordinatorEndpoint> SubCoordinator<U, C> {
             transfers: std::mem::take(&mut up.events),
             gossip,
         };
+        up.strands_work = report.stats.paths_completed > 0 && !frontier_jobs.is_empty();
         up.digests_sent += 1;
         up.last_digest = Instant::now();
         summary.digests_sent += 1;
@@ -1060,10 +1068,12 @@ impl FederatedCluster {
     }
 
     /// Runs the federated cluster, optionally killing sub-coordinator
-    /// `kill.0` (abort-flag SIGKILL simulation) once `kill.1` has elapsed.
-    /// The root's failure detector (`config.failure_timeout`) must be
-    /// enabled for the cluster to recover from the kill.
-    pub fn run_with_kill(&self, kill: Option<(usize, Duration)>) -> ClusterRunResult {
+    /// `victim` (abort-flag SIGKILL simulation) as soon as its group has
+    /// made progress with work still pending (see
+    /// [`SubCoordinator::abort_flag`]). The root's failure detector
+    /// (`config.failure_timeout`) must be enabled for the cluster to
+    /// recover from the kill.
+    pub fn run_with_kill(&self, victim: Option<usize>) -> ClusterRunResult {
         let mut root_config = self.config.clone();
         root_config.num_workers = self.groups;
         // The recovery story needs the root's ledger current: digests carry
@@ -1089,10 +1099,8 @@ impl FederatedCluster {
         };
         let root = Cluster::new(self.program.clone(), self.env.clone(), root_config);
 
-        let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let mut abort_flags = Vec::with_capacity(self.groups);
-            for uplink in sub_uplinks {
+            for (group, uplink) in sub_uplinks.into_iter().enumerate() {
                 let fabric = InProcTransport
                     .establish(self.group_size)
                     .expect("in-process transport cannot fail");
@@ -1105,28 +1113,14 @@ impl FederatedCluster {
                     });
                 }
                 let sub = SubCoordinator::new(uplink, fabric.coordinator, fed.clone());
-                abort_flags.push(sub.abort_flag());
+                if victim.map(|v| v.min(self.groups - 1)) == Some(group) {
+                    sub.abort_flag().store(true, Ordering::Relaxed);
+                }
                 scope.spawn(move || {
                     let _ = sub.run();
                 });
             }
-            if let Some((victim, after)) = kill {
-                let flag = abort_flags[victim.min(abort_flags.len() - 1)].clone();
-                let done = &done;
-                scope.spawn(move || {
-                    let deadline = Instant::now() + after;
-                    while Instant::now() < deadline {
-                        if done.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    flag.store(true, Ordering::Relaxed);
-                });
-            }
-            let result = root.run_coordinator(&mut root_ep, opts);
-            done.store(true, Ordering::Relaxed);
-            result
+            root.run_coordinator(&mut root_ep, opts)
         })
     }
 }

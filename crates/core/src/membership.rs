@@ -466,11 +466,15 @@ impl Membership {
     /// Runs the failure detector: members silent for longer than the
     /// timeout are declared dead and their jobs reclaimed. Doomed in-flight
     /// entries (an endpoint died) whose grace period passed without a
-    /// resolving event are swept into the pool, as are batches that
+    /// resolving event are swept into the pool, as are peer batches that
     /// provably died on the wire (older than the timeout with an idle,
-    /// live destination — a live receiver drains its socket every quantum,
-    /// so an unacknowledged old batch is lost). Returns the newly dead
-    /// members.
+    /// live destination — a live receiver drains its socket and
+    /// acknowledges imports before exploring, so an unacknowledged old
+    /// batch is lost). Coordinator injects are never swept this way: they
+    /// ride the member's own control connection, which only breaks when
+    /// the member dies — and then they are reclaimed with it. Sweeping one
+    /// merely because the member was slow would hand the same jobs out
+    /// twice. Returns the newly dead members.
     pub fn detect_failures(&mut self, now: Instant) -> Vec<WorkerId> {
         let mut dead = Vec::new();
         if let Some(timeout) = self.timeout {
@@ -498,19 +502,20 @@ impl Membership {
         let expired: Vec<(WorkerId, WorkerId, u64)> = self
             .in_flight
             .iter()
-            .filter(|((_, dst, _), entry)| {
+            .filter(|((src, dst, _), entry)| {
                 let doom_expired = entry
                     .doomed_since
                     .map(|since| now.duration_since(since) > DOOM_GRACE)
                     .unwrap_or(false);
-                let lost_on_wire = self.timeout.is_some_and(|timeout| {
-                    now.duration_since(entry.since) > timeout
-                        && self
-                            .members
-                            .get(dst.index())
-                            .map(|m| m.is_alive() && m.idle)
-                            .unwrap_or(false)
-                });
+                let lost_on_wire = *src != COORDINATOR
+                    && self.timeout.is_some_and(|timeout| {
+                        now.duration_since(entry.since) > timeout
+                            && self
+                                .members
+                                .get(dst.index())
+                                .map(|m| m.is_alive() && m.idle)
+                                .unwrap_or(false)
+                    });
                 doom_expired || lost_on_wire
             })
             .map(|(key, _)| *key)
@@ -1170,6 +1175,35 @@ mod tests {
         assert!(m.detect_failures(later).is_empty());
         assert_eq!(m.take_pool().len(), 1);
         assert!(m.settled());
+    }
+
+    #[test]
+    fn unacknowledged_inject_to_a_slow_live_member_is_never_swept() {
+        let (mut m, now) = two_member_cluster(Duration::from_millis(100));
+        let seq = m.record_inject(WorkerId(1), vec![job(&[true])], now);
+
+        // The member last reported idle and has not drained its control
+        // queue yet: long past the timeout, the inject stays in flight —
+        // re-injecting it elsewhere would explore its subtree twice.
+        let later = now + Duration::from_millis(500);
+        let mut idle = status(WorkerId(1), 2, None);
+        idle.idle = true;
+        assert!(m.record_status(&idle, later));
+        assert!(m.record_heartbeat(WorkerId(0), 1, later));
+        assert!(m.detect_failures(later).is_empty());
+        assert!(m.take_pool().is_empty());
+        assert!(!m.settled());
+
+        // The late acknowledgement lands the jobs exactly once.
+        let mut ack = status(WorkerId(1), 2, None);
+        ack.transfers = vec![TransferEvent::Imported {
+            source: COORDINATOR,
+            seq,
+            encoded: encoded(&[job(&[true])]),
+        }];
+        assert!(m.record_status(&ack, later));
+        assert!(m.settled());
+        assert_eq!(m.member(WorkerId(1)).unwrap().ledger_len(), 1);
     }
 
     #[test]

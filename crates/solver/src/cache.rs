@@ -260,9 +260,16 @@ impl QueryCache {
         });
         match found {
             Some((sat, model, imported)) => {
-                self.hits += 1;
-                if imported {
-                    self.warm_hits += 1;
+                // A sat entry without the canonical model a caller asked
+                // for answers nothing: the caller searches, so it counts
+                // as a miss.
+                if !sat || !want_model || model.is_some() {
+                    self.hits += 1;
+                    if imported {
+                        self.warm_hits += 1;
+                    }
+                } else {
+                    self.misses += 1;
                 }
                 Some((sat, model))
             }

@@ -1,14 +1,18 @@
-//! Constraint sets: ordered collections of 1-bit path constraints.
+//! Constraint sets: ordered collections of 1-bit path constraints, kept
+//! partitioned into independence groups as they grow.
 
 use c9_expr::{collect_symbols, Assignment, BinaryOp, Expr, ExprKind, ExprRef, SymbolId, Width};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An ordered set of path constraints.
 ///
 /// Each constraint is a 1-bit expression that must be true along the current
-/// execution path. The set keeps the union of referenced symbols cached so
-/// that independence slicing does not repeatedly traverse expressions.
+/// execution path. Two constraints are *dependent* if they share a symbol,
+/// directly or transitively through other constraints; the set maintains
+/// its partition into independence groups incrementally as constraints are
+/// pushed (KLEE's independent element sets), so slicing a query never has
+/// to re-traverse the constraints.
 ///
 /// The set also tracks whether a trivially-false constraint (`false` constant)
 /// was ever added, which makes the whole set unsatisfiable regardless of the
@@ -16,8 +20,24 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConstraintSet {
     constraints: Vec<ExprRef>,
-    symbols: BTreeSet<SymbolId>,
     trivially_false: bool,
+    /// The independence groups, by creation. A group merged into another
+    /// is left behind empty, so group indices stay stable.
+    groups: Vec<Group>,
+    /// The group each referenced symbol belongs to.
+    symbol_group: BTreeMap<SymbolId, u32>,
+    /// The group holding constraints that mention no symbol at all (which
+    /// normally cannot occur, since such constraints fold to constants).
+    symbol_free_group: Option<u32>,
+}
+
+/// One independence group.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Group {
+    /// Indices of the member constraints, in insertion order.
+    members: Vec<u32>,
+    /// The symbols the members mention.
+    symbols: Vec<SymbolId>,
 }
 
 impl ConstraintSet {
@@ -50,10 +70,57 @@ impl ConstraintSet {
             self.push(rhs.clone());
             return;
         }
-        for sym in collect_symbols(&constraint) {
-            self.symbols.insert(sym);
-        }
+        let index = self.constraints.len() as u32;
+        let symbols = collect_symbols(&constraint);
         self.constraints.push(constraint);
+        let group = self.join_groups(&symbols);
+        self.groups[group as usize].members.push(index);
+    }
+
+    /// Merges every group touching `symbols` into one (a fresh group if
+    /// none does), claims `symbols` for it, and returns its index.
+    fn join_groups(&mut self, symbols: &BTreeSet<SymbolId>) -> u32 {
+        if symbols.is_empty() {
+            return *self.symbol_free_group.get_or_insert_with(|| {
+                self.groups.push(Group::default());
+                self.groups.len() as u32 - 1
+            });
+        }
+        let mut touched: Vec<u32> = symbols
+            .iter()
+            .filter_map(|s| self.symbol_group.get(s).copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        // Relabel the smaller groups into the largest one.
+        let target = touched
+            .iter()
+            .copied()
+            .max_by_key(|g| {
+                (
+                    self.groups[*g as usize].members.len(),
+                    std::cmp::Reverse(*g),
+                )
+            })
+            .unwrap_or_else(|| {
+                self.groups.push(Group::default());
+                self.groups.len() as u32 - 1
+            });
+        for source in touched.into_iter().filter(|g| *g != target) {
+            let merged = std::mem::take(&mut self.groups[source as usize]);
+            for s in &merged.symbols {
+                self.symbol_group.insert(*s, target);
+            }
+            let into = &mut self.groups[target as usize];
+            into.symbols.extend(merged.symbols);
+            into.members = merge_sorted(&into.members, &merged.members);
+        }
+        for s in symbols {
+            if self.symbol_group.insert(*s, target).is_none() {
+                self.groups[target as usize].symbols.push(*s);
+            }
+        }
+        target
     }
 
     /// Returns a copy of this set extended with one more constraint.
@@ -68,9 +135,48 @@ impl ConstraintSet {
         &self.constraints
     }
 
-    /// The set of symbols referenced by any constraint.
-    pub fn symbols(&self) -> &BTreeSet<SymbolId> {
-        &self.symbols
+    /// The symbols referenced by any constraint, in ascending order.
+    pub fn symbols(&self) -> impl Iterator<Item = SymbolId> + '_ {
+        self.symbol_group.keys().copied()
+    }
+
+    /// The independence groups, each as its constraints in insertion order.
+    /// Groups come in creation order; together they partition the set.
+    pub fn groups(&self) -> impl Iterator<Item = Vec<ExprRef>> + '_ {
+        self.groups
+            .iter()
+            .filter(|g| !g.members.is_empty())
+            .map(|g| self.members(&g.members))
+    }
+
+    /// The constraints (transitively) dependent on any of `query_symbols`:
+    /// the union of the groups those symbols belong to, in insertion order.
+    pub fn relevant(&self, query_symbols: &BTreeSet<SymbolId>) -> Vec<ExprRef> {
+        let mut touched: Vec<u32> = query_symbols
+            .iter()
+            .filter_map(|s| self.symbol_group.get(s).copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        match touched.as_slice() {
+            [] => Vec::new(),
+            [only] => self.members(&self.groups[*only as usize].members),
+            several => {
+                let mut members: Vec<u32> = several
+                    .iter()
+                    .flat_map(|g| self.groups[*g as usize].members.iter().copied())
+                    .collect();
+                members.sort_unstable();
+                self.members(&members)
+            }
+        }
+    }
+
+    fn members(&self, indices: &[u32]) -> Vec<ExprRef> {
+        indices
+            .iter()
+            .map(|i| self.constraints[*i as usize].clone())
+            .collect()
     }
 
     /// Number of (non-trivial) constraints.
@@ -116,6 +222,24 @@ impl ConstraintSet {
     pub fn iter(&self) -> impl Iterator<Item = &ExprRef> {
         self.constraints.iter()
     }
+}
+
+/// Merges two ascending index lists.
+fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 impl FromIterator<ExprRef> for ConstraintSet {

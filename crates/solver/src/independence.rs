@@ -5,117 +5,39 @@
 //! constraints that are dependent on the symbols it mentions; the rest of the
 //! path condition cannot influence the answer. This mirrors the independent
 //! constraint-set optimization in KLEE, on which Cloud9 builds.
+//!
+//! [`ConstraintSet`] maintains its independence groups incrementally as
+//! constraints are pushed; these functions are views of those groups.
 
 use crate::ConstraintSet;
 use c9_expr::{collect_symbols, ExprRef, SymbolId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-/// Union-find over symbol identifiers.
-struct UnionFind {
-    parent: HashMap<SymbolId, SymbolId>,
-}
-
-impl UnionFind {
-    fn new() -> UnionFind {
-        UnionFind {
-            parent: HashMap::new(),
-        }
-    }
-
-    fn find(&mut self, x: SymbolId) -> SymbolId {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = self.find(p);
-        self.parent.insert(x, root);
-        root
-    }
-
-    fn union(&mut self, a: SymbolId, b: SymbolId) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-}
-
-/// Splits a constraint set into groups of mutually dependent constraints.
+/// Splits a constraint set into groups of mutually dependent constraints,
+/// ordered by the smallest symbol each group mentions, each in insertion
+/// order.
 ///
 /// Constraints that reference no symbols at all (which normally cannot occur,
-/// since such constraints fold to constants) are placed in their own group.
+/// since such constraints fold to constants) form one group of their own,
+/// ordered last.
 pub fn independent_groups(set: &ConstraintSet) -> Vec<Vec<ExprRef>> {
-    let mut uf = UnionFind::new();
-    let mut per_constraint_syms: Vec<BTreeSet<SymbolId>> = Vec::with_capacity(set.len());
-    for c in set.iter() {
-        let syms = collect_symbols(c);
-        let mut it = syms.iter();
-        if let Some(first) = it.next() {
-            for s in it {
-                uf.union(*first, *s);
-            }
-        }
-        per_constraint_syms.push(syms);
-    }
-
-    let mut groups: HashMap<Option<SymbolId>, Vec<ExprRef>> = HashMap::new();
-    for (c, syms) in set.iter().zip(&per_constraint_syms) {
-        let key = syms.iter().next().map(|s| uf.find(*s));
-        groups.entry(key).or_default().push(c.clone());
-    }
-    let mut result: Vec<Vec<ExprRef>> = groups.into_values().collect();
-    // Deterministic ordering: by the smallest symbol mentioned in the group.
-    result.sort_by_key(|group| {
+    let mut groups: Vec<Vec<ExprRef>> = set.groups().collect();
+    groups.sort_by_cached_key(|group| {
         group
             .iter()
             .flat_map(collect_symbols)
             .min()
-            .map(|s| s.0)
-            .unwrap_or(u32::MAX)
+            .map_or(u32::MAX, |s| s.0)
     });
-    result
+    groups
 }
 
 /// Returns the constraints of `set` that are (transitively) dependent on any
 /// of `query_symbols`, i.e. the slice that is sufficient to answer a query
-/// over those symbols.
+/// over those symbols, in insertion order.
 pub fn relevant_constraints(
     set: &ConstraintSet,
     query_symbols: &BTreeSet<SymbolId>,
 ) -> Vec<ExprRef> {
-    if query_symbols.is_empty() {
-        return Vec::new();
-    }
-    // Fixpoint: grow the symbol closure until no constraint adds new symbols.
-    let mut closure: BTreeSet<SymbolId> = query_symbols.clone();
-    let per_constraint: Vec<(ExprRef, BTreeSet<SymbolId>)> = set
-        .iter()
-        .map(|c| (c.clone(), collect_symbols(c)))
-        .collect();
-    let mut included = vec![false; per_constraint.len()];
-    loop {
-        let mut changed = false;
-        for (i, (_, syms)) in per_constraint.iter().enumerate() {
-            if included[i] {
-                continue;
-            }
-            if syms.iter().any(|s| closure.contains(s)) {
-                included[i] = true;
-                for s in syms {
-                    if closure.insert(*s) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    per_constraint
-        .into_iter()
-        .zip(included)
-        .filter_map(|((c, _), inc)| if inc { Some(c) } else { None })
-        .collect()
+    set.relevant(query_symbols)
 }

@@ -3,7 +3,6 @@
 use crate::backend::{solve_feasibility, SolverBackendKind};
 use crate::cache::{CacheSlice, ModelCache, ShardedQueryCache};
 use crate::constraint::ConstraintSet;
-use crate::independence::relevant_constraints;
 use crate::search::{search, SearchBudget, SearchOutcome};
 use crate::stats::{AtomicSolverStats, SolverStats};
 use c9_expr::{collect_symbols, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width};
@@ -108,7 +107,8 @@ pub enum Validity {
 /// Model-*returning* queries ([`Solver::get_model`], [`Solver::get_value`],
 /// and the public [`Solver::check_sat`] entry points) always produce the
 /// *canonical* model: the deterministic backtracking-search result for the
-/// exact (sliced) constraint set, memoized in the query cache. Feasibility
+/// exact constraint set, computed as the union of its independence groups'
+/// canonical models, each memoized in the query cache. Feasibility
 /// queries ([`Solver::may_be_true`] / [`Solver::must_be_true`]) only need
 /// the satisfiability bit and may be answered by any cached witness model.
 /// Since satisfiability bits and canonical models are pure functions of the
@@ -270,14 +270,11 @@ impl Solver {
         self.query(constraints, extra, true)
     }
 
-    /// The query pipeline: trivial rejection → independence slicing →
-    /// query cache → (witness) model cache → budgeted search.
-    ///
-    /// `needs_model` distinguishes model-returning callers (which must get
-    /// the canonical model, see the type-level documentation) from
-    /// feasibility callers (which only consume the satisfiability bit and
-    /// may be answered by an arbitrary cached witness, or an empty
-    /// placeholder model on a cached sat answer).
+    /// The query pipeline: trivial rejection → independence slicing (or,
+    /// for model-returning queries, one solve per independence group) →
+    /// query cache → (witness) model cache → budgeted search. Every public
+    /// call counts as exactly one query; see [`Solver::solve`] for how the
+    /// lookups below it are counted.
     fn query(
         &self,
         constraints: &ConstraintSet,
@@ -312,58 +309,104 @@ impl Solver {
             }
         }
 
-        // Build the working constraint list (slice to what is relevant to the
-        // extra query when independence slicing is enabled). Slicing relies on
-        // the engine invariant that the path-constraint set itself is always
-        // satisfiable (every constraint was feasible when it was added), so
-        // dropping independent groups cannot change the answer.
-        //
-        // A working set with a sliced-in extra expression can never be the
-        // key of a model-returning query (those always pass `extra: None`),
-        // so canonical models are only worth caching for extra-free keys.
-        let canonical_key = !matches!(&extra, Some(e) if !e.is_concrete());
-        let mut working: Vec<ExprRef>;
-        match &extra {
+        let result = match &extra {
+            // Slice to what is relevant to the extra query when independence
+            // slicing is enabled. Slicing relies on the engine invariant that
+            // the path-constraint set itself is always satisfiable (every
+            // constraint was feasible when it was added), so dropping
+            // independent groups cannot change the answer.
+            //
+            // A working set with a sliced-in extra expression can never be
+            // the key of a model-returning query (those always pass
+            // `extra: None`), so canonical models are only worth caching
+            // for extra-free keys.
             Some(e) if !e.is_concrete() => {
-                if self.config.enable_independence {
-                    let query_syms = collect_symbols(e);
-                    working = relevant_constraints(constraints, &query_syms);
-                    if working.len() < constraints.len() {
+                let mut working = if self.config.enable_independence {
+                    let sliced = constraints.relevant(&collect_symbols(e));
+                    if sliced.len() < constraints.len() {
                         self.stats.inc_independence_slices();
                     }
-                    working.push(e.clone());
+                    sliced
                 } else {
-                    working = constraints.constraints().to_vec();
-                    working.push(e.clone());
-                }
+                    constraints.constraints().to_vec()
+                };
+                working.push(e.clone());
+                self.solve(&working, needs_model, false)
             }
-            _ => {
-                working = constraints.constraints().to_vec();
+            _ if needs_model && self.config.enable_independence => self.solve_groups(constraints),
+            _ => self.solve(constraints.constraints(), needs_model, true),
+        };
+        match result {
+            SatResult::Sat(_) => self.stats.inc_sat(),
+            SatResult::Unsat => self.stats.inc_unsat(),
+            SatResult::Unknown => {}
+        }
+        result
+    }
+
+    /// Solves every independence group of `constraints` on its own and
+    /// merges the group models.
+    ///
+    /// This is exact: the search orders symbols by keys local to their
+    /// group (domain size, mentions within the group, id), and the
+    /// lexicographically-first solution of a product of independent groups
+    /// is the product of each group's first solution — so the merged model
+    /// is the canonical model of the whole set. Each group is a query-cache
+    /// key of its own, so a group shared by many paths is solved once.
+    fn solve_groups(&self, constraints: &ConstraintSet) -> SatResult {
+        let mut model = Assignment::new();
+        let mut unknown = false;
+        for group in constraints.groups() {
+            match self.solve(&group, true, true) {
+                SatResult::Sat(m) => {
+                    for (sym, value) in m.iter() {
+                        model.set(sym, value);
+                    }
+                }
+                SatResult::Unsat => return SatResult::Unsat,
+                SatResult::Unknown => unknown = true,
             }
         }
+        if unknown {
+            SatResult::Unknown
+        } else {
+            SatResult::Sat(model)
+        }
+    }
 
+    /// Answers one working constraint list: query cache → (witness) model
+    /// cache → budgeted search. Each call is exactly one query-cache hit,
+    /// one model-cache hit, or one search in the statistics.
+    ///
+    /// `needs_model` distinguishes model-returning callers (which must get
+    /// the canonical model, see the type-level documentation) from
+    /// feasibility callers (which only consume the satisfiability bit and
+    /// may be answered by an arbitrary cached witness, or an empty
+    /// placeholder model on a cached sat answer). `canonical_key` says
+    /// whether a canonical model may be cached under `working`.
+    fn solve(&self, working: &[ExprRef], needs_model: bool, canonical_key: bool) -> SatResult {
         // Query cache. Feasibility callers only ask for the sat bit, so
         // the shard does not clone the stored canonical model for them.
         if self.config.enable_query_cache {
-            if let Some((sat, model)) = self.query_cache.get(&working, None, needs_model) {
-                self.stats.inc_query_cache_hits();
-                if !sat {
-                    self.stats.inc_unsat();
+            match self.query_cache.get(working, None, needs_model) {
+                Some((false, _)) => {
+                    self.stats.inc_query_cache_hits();
                     return SatResult::Unsat;
                 }
-                if !needs_model {
-                    // Feasibility callers discard the model; an empty
-                    // placeholder witness is enough.
-                    self.stats.inc_sat();
+                // Feasibility callers discard the model; an empty
+                // placeholder witness is enough.
+                Some((true, _)) if !needs_model => {
+                    self.stats.inc_query_cache_hits();
                     return SatResult::Sat(Assignment::new());
                 }
-                if let Some(m) = model {
-                    self.stats.inc_sat();
+                Some((true, Some(m))) => {
+                    self.stats.inc_query_cache_hits();
                     return SatResult::Sat(m);
                 }
                 // Sat is known but no canonical model was recorded yet (the
-                // bit came from a witness-cache hit): fall through to the
-                // search, which computes and backfills it.
+                // bit came from a witness-cache hit or a feasibility query):
+                // fall through to the search, which computes and backfills it.
+                Some((true, None)) | None => {}
             }
         }
 
@@ -375,38 +418,36 @@ impl Solver {
                 .model_cache
                 .read()
                 .expect("model cache poisoned")
-                .find_satisfying(&working);
+                .find_satisfying(working);
             if let Some(m) = witness {
                 self.stats.inc_model_cache_hits();
-                self.stats.inc_sat();
                 if self.config.enable_query_cache {
-                    self.query_cache.insert(&working, None, true, None);
+                    self.query_cache.insert(working, None, true, None);
                 }
                 return SatResult::Sat(m);
             }
         }
 
-        // Full search over the sliced constraints. Model-returning callers
-        // go straight to the canonical backtracking search (its model *is*
-        // the canonical model); feasibility callers go through the backend
-        // selection table, which may answer with a verified witness from
-        // the bit-blasting backend before falling back to the canonical
-        // search.
+        // Full search. Model-returning callers go straight to the canonical
+        // backtracking search (its model *is* the canonical model);
+        // feasibility callers go through the backend selection table, which
+        // may answer with a verified witness from the bit-blasting backend
+        // before falling back to the canonical search.
         self.stats.inc_searches();
         let symbols: BTreeSet<SymbolId> = working.iter().flat_map(collect_symbols).collect();
-        let widths = self.widths_for(&working, &symbols);
+        let widths = self.widths_for(working, &symbols);
         let (outcome, via_alt) = if needs_model {
-            (search(&working, &widths, self.config.budget, None), false)
+            (search(working, &widths, self.config.budget, None), false)
         } else {
-            solve_feasibility(self.config.backend, &working, &widths, self.config.budget)
+            solve_feasibility(self.config.backend, working, &widths, self.config.budget)
         };
         match outcome {
             SearchOutcome::Sat(model) => {
                 // Note: when the query was sliced, the model only binds the
-                // symbols of the relevant slice. Feasibility callers ignore
-                // the model; model-generation callers (`get_model`,
-                // `get_value`) never pass an extra query, so they always get
-                // a model over the full constraint set.
+                // symbols of the slice. Feasibility callers ignore the model;
+                // model-generation callers (`get_model`, `get_value`) never
+                // pass an extra query, so their groups' models together
+                // bind every symbol of the constraint set.
                 if self.config.enable_query_cache {
                     // A witness from an alternative backend proves the sat
                     // bit but is *not* the canonical model — caching it as
@@ -414,7 +455,7 @@ impl Solver {
                     // the backend choice. Leave the model slot empty; a
                     // model-returning query backfills it canonically.
                     let canonical = (canonical_key && !via_alt).then(|| model.clone());
-                    self.query_cache.insert(&working, None, true, canonical);
+                    self.query_cache.insert(working, None, true, canonical);
                 }
                 if self.config.enable_model_cache {
                     self.model_cache
@@ -422,14 +463,12 @@ impl Solver {
                         .expect("model cache poisoned")
                         .insert(model.clone());
                 }
-                self.stats.inc_sat();
                 SatResult::Sat(model)
             }
             SearchOutcome::Unsat => {
                 if self.config.enable_query_cache {
-                    self.query_cache.insert(&working, None, false, None);
+                    self.query_cache.insert(working, None, false, None);
                 }
-                self.stats.inc_unsat();
                 SatResult::Unsat
             }
             SearchOutcome::Unknown => {

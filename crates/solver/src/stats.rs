@@ -12,13 +12,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolverStats {
-    /// Total satisfiability queries issued (feasibility + validity).
+    /// Total satisfiability queries issued (feasibility + validity + model),
+    /// one per public solver call.
     pub queries: u64,
-    /// Queries answered from the query cache.
+    /// Cache lookups answered from the query cache. A feasibility query
+    /// makes one lookup; a model query makes one per independence group.
     pub query_cache_hits: u64,
-    /// Queries answered by re-using a cached model.
+    /// Cache lookups answered by re-using a cached model.
     pub model_cache_hits: u64,
-    /// Queries that required a full backtracking search.
+    /// Cache lookups that required a backtracking search. Every lookup is
+    /// exactly one of a query-cache hit, a model-cache hit or a search.
     pub searches: u64,
     /// Searches that ended with `Unknown` (budget exhausted or incomplete
     /// domain enumeration).
@@ -34,7 +37,7 @@ pub struct SolverStats {
     /// other workers (job-batch piggyback, status gossip, or the
     /// coordinator's cluster hot set).
     pub imported_cache_entries: u64,
-    /// Query-cache hits served by an imported entry — the queries this
+    /// Query-cache hits served by an imported entry — the lookups this
     /// worker did not have to re-solve because a sibling already had.
     pub warm_hits: u64,
 }
@@ -54,12 +57,14 @@ impl SolverStats {
         self.warm_hits += other.warm_hits;
     }
 
-    /// Fraction of queries answered by either cache, in `[0, 1]`.
+    /// Fraction of cache lookups answered by either cache, in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.queries == 0 {
+        let hits = self.query_cache_hits + self.model_cache_hits;
+        let lookups = hits + self.searches;
+        if lookups == 0 {
             return 0.0;
         }
-        (self.query_cache_hits + self.model_cache_hits) as f64 / self.queries as f64
+        hits as f64 / lookups as f64
     }
 
     /// Fraction of query-cache hits served by imported entries, in

@@ -7,7 +7,7 @@ use crate::{
 };
 use c9_expr::{collect_symbols, Assignment, Expr, ExprRef, SymbolId, SymbolManager, Width};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn byte(sym: SymbolId) -> ExprRef {
     Expr::sym(sym, Width::W8)
@@ -746,8 +746,152 @@ fn backend_choice_is_invisible_to_the_engine() {
     assert_eq!(models[0], models[2], "race changed the canonical model");
 }
 
+/// The union-find slicer the incremental groups replaced, kept as the
+/// reference the property tests compare against.
+fn reference_groups(set: &ConstraintSet) -> Vec<Vec<ExprRef>> {
+    fn find(parent: &mut BTreeMap<SymbolId, SymbolId>, x: SymbolId) -> SymbolId {
+        let p = *parent.entry(x).or_insert(x);
+        if p == x {
+            return x;
+        }
+        let root = find(parent, p);
+        parent.insert(x, root);
+        root
+    }
+    let mut parent = BTreeMap::new();
+    let syms: Vec<BTreeSet<SymbolId>> = set.iter().map(collect_symbols).collect();
+    for cs in &syms {
+        let mut it = cs.iter();
+        if let Some(first) = it.next() {
+            for s in it {
+                let (ra, rb) = (find(&mut parent, *first), find(&mut parent, *s));
+                if ra != rb {
+                    parent.insert(ra, rb);
+                }
+            }
+        }
+    }
+    let mut groups: BTreeMap<Option<SymbolId>, Vec<ExprRef>> = BTreeMap::new();
+    for (c, cs) in set.iter().zip(&syms) {
+        let key = cs.iter().next().map(|s| find(&mut parent, *s));
+        groups.entry(key).or_default().push(c.clone());
+    }
+    let mut result: Vec<Vec<ExprRef>> = groups.into_values().collect();
+    result.sort_by_key(|g| {
+        g.iter()
+            .flat_map(collect_symbols)
+            .min()
+            .map_or(u32::MAX, |s| s.0)
+    });
+    result
+}
+
+/// The fixpoint slicer the incremental groups replaced (reference).
+fn reference_relevant(set: &ConstraintSet, query: &BTreeSet<SymbolId>) -> Vec<ExprRef> {
+    let mut closure = query.clone();
+    let syms: Vec<BTreeSet<SymbolId>> = set.iter().map(collect_symbols).collect();
+    let mut included = vec![false; syms.len()];
+    let mut changed = !query.is_empty();
+    while changed {
+        changed = false;
+        for (i, cs) in syms.iter().enumerate() {
+            if !included[i] && cs.iter().any(|s| closure.contains(s)) {
+                included[i] = true;
+                for s in cs {
+                    changed |= closure.insert(*s);
+                }
+            }
+        }
+    }
+    set.iter()
+        .zip(included)
+        .filter(|(_, inc)| *inc)
+        .map(|(c, _)| c.clone())
+        .collect()
+}
+
+/// A byte constraint over up to three of `syms`, from a small template
+/// table: `(template, a, b, c, k)` picks the shape, the symbols and the
+/// constant.
+fn template_constraint(
+    syms: &[SymbolId],
+    (t, a, b, c, k): (u8, usize, usize, usize, u8),
+) -> ExprRef {
+    let n = syms.len();
+    let x = byte(syms[a % n]);
+    // Distinct partners, so `x ^ x` and friends cannot fold to constants.
+    let y = byte(syms[(a + 1 + b % (n - 1)) % n]);
+    let k = Expr::const_(u64::from(k), Width::W8);
+    match t % 7 {
+        0 => Expr::ult(x, k),
+        1 => Expr::eq(x, k),
+        2 => Expr::ne(x, k),
+        3 => Expr::ult(k, x),
+        4 => Expr::eq(Expr::add(x, y), k),
+        5 => Expr::ult(Expr::xor(x, y), k),
+        _ => {
+            let z = byte(syms[c % n]);
+            Expr::ult(Expr::add(Expr::add(x, y), z), k)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For arbitrary push sequences the incremental groups and slices
+    /// equal the union-find / fixpoint reference.
+    #[test]
+    fn prop_incremental_groups_match_the_fixpoint_reference(
+        pushes in proptest::collection::vec(
+            ((0u8..7, 0usize..8, 0usize..8), (0usize..8, any::<u8>())),
+            0..24,
+        ),
+        queries in proptest::collection::vec(proptest::collection::vec(0usize..10, 0..3), 1..6),
+    ) {
+        let mut m = SymbolManager::new();
+        let syms: Vec<SymbolId> = (0..10).map(|i| m.fresh(&format!("s{i}"), Width::W8)).collect();
+        let mut pc = ConstraintSet::new();
+        for ((t, a, b), (c, k)) in pushes {
+            pc.push(template_constraint(&syms[..8], (t, a, b, c, k)));
+            prop_assert_eq!(independent_groups(&pc), reference_groups(&pc));
+            for q in &queries {
+                let q: BTreeSet<SymbolId> = q.iter().map(|i| syms[*i]).collect();
+                prop_assert_eq!(relevant_constraints(&pc, &q), reference_relevant(&pc, &q));
+            }
+        }
+    }
+
+    /// For random small constraint sets, the merged per-group model is
+    /// the canonical model of a search over the whole set.
+    #[test]
+    fn prop_per_group_models_equal_the_full_search(
+        pushes in proptest::collection::vec(
+            ((0u8..7, 0usize..4, 0usize..4), (0usize..4, any::<u8>())),
+            1..7,
+        ),
+    ) {
+        let mut m = SymbolManager::new();
+        let syms: Vec<SymbolId> = (0..4).map(|i| m.fresh(&format!("s{i}"), Width::W8)).collect();
+        let mut pc = ConstraintSet::new();
+        for ((t, a, b), (c, k)) in pushes {
+            pc.push(template_constraint(&syms, (t, a, b, c, k)));
+        }
+        let widths: BTreeMap<SymbolId, Width> = pc.symbols().map(|s| (s, Width::W8)).collect();
+        // A small budget keeps the undecidable-in-budget cases cheap.
+        let budget = SearchBudget { max_nodes: 20_000 };
+        let full = crate::search::search(pc.constraints(), &widths, budget, None);
+        let solver = Solver::with_config(SolverConfig { budget, ..SolverConfig::default() });
+        let grouped = solver.check_sat(&pc);
+        match (&full, &grouped) {
+            (SearchOutcome::Sat(a), SatResult::Sat(b)) => prop_assert_eq!(a, b),
+            (SearchOutcome::Unsat, SatResult::Unsat) => {}
+            // Per-group budgets can only decide more, never contradict.
+            (SearchOutcome::Unknown, _) => {}
+            _ => prop_assert!(false, "full {:?} vs per-group {:?}", full, grouped),
+        }
+    }
+
 
     /// Slice merge is commutative and associative (the key-join union with
     /// OR-ed hot bits and prefer-present models), given the purity

@@ -16,7 +16,7 @@ use crate::state::{ExecutionState, StateId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Exploration strategy selector, shippable over the wire to remote workers.
 ///
@@ -204,10 +204,192 @@ pub trait Searcher: Send {
     fn name(&self) -> &'static str;
 }
 
+/// The registered states of a searcher, one per slot: `O(1)` insert,
+/// lookup and swap-remove. Slot order is an implementation detail (a
+/// removal moves the last state into the vacated slot), so it is only used
+/// by strategies that pick uniformly or by weight.
+#[derive(Debug, Default)]
+struct Slots {
+    ids: Vec<StateId>,
+    pos: HashMap<StateId, usize>,
+}
+
+impl Slots {
+    /// Registers `id` (if new) and returns its slot.
+    fn insert(&mut self, id: StateId) -> usize {
+        *self.pos.entry(id).or_insert_with(|| {
+            self.ids.push(id);
+            self.ids.len() - 1
+        })
+    }
+
+    /// Unregisters `id`. Returns the vacated slot and the slot the last
+    /// state moved out of to fill it (equal when `id` was last).
+    fn remove(&mut self, id: StateId) -> Option<(usize, usize)> {
+        let slot = self.pos.remove(&id)?;
+        let last = self.ids.len() - 1;
+        self.ids.swap_remove(slot);
+        if slot != last {
+            self.pos.insert(self.ids[slot], slot);
+        }
+        Some((slot, last))
+    }
+
+    /// A uniformly random registered state.
+    fn pick(&self, rng: &mut StdRng) -> Option<StateId> {
+        match self.ids.len() {
+            0 => None,
+            1 => Some(self.ids[0]),
+            n => Some(self.ids[rng.gen_range(0..n)]),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// A binary sum tree over slot weights: leaf `i` holds the weight of slot
+/// `i`, every inner node the sum of its two children. Updating a leaf
+/// recomputes its ancestors from their children (never by adding or
+/// subtracting a delta), so with integer weights the root is always the
+/// exact total — there is nothing to drift.
+#[derive(Debug, Default)]
+struct SumTree {
+    /// `nodes[1]` is the root; leaves start at `nodes[leaves]`.
+    nodes: Vec<u128>,
+    leaves: usize,
+}
+
+impl SumTree {
+    fn total(&self) -> u128 {
+        self.nodes.get(1).copied().unwrap_or(0)
+    }
+
+    fn weight(&self, slot: usize) -> u128 {
+        self.nodes.get(self.leaves + slot).copied().unwrap_or(0)
+    }
+
+    fn set(&mut self, slot: usize, weight: u128) {
+        if slot >= self.leaves {
+            self.grow(slot + 1);
+        }
+        let mut i = self.leaves + slot;
+        self.nodes[i] = weight;
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1];
+        }
+    }
+
+    /// Doubles the leaf count until `slots` leaves fit, then rebuilds the
+    /// inner nodes bottom-up.
+    fn grow(&mut self, slots: usize) {
+        let mut leaves = self.leaves.max(1);
+        while leaves < slots {
+            leaves *= 2;
+        }
+        let mut nodes = vec![0u128; 2 * leaves];
+        nodes[leaves..leaves + self.leaves].copy_from_slice(&self.nodes[self.leaves..]);
+        for i in (1..leaves).rev() {
+            nodes[i] = nodes[2 * i] + nodes[2 * i + 1];
+        }
+        self.nodes = nodes;
+        self.leaves = leaves;
+    }
+
+    /// The slot whose cumulative weight range contains `point`
+    /// (`point < total()`).
+    fn find(&self, mut point: u128) -> usize {
+        let mut i = 1;
+        while i < self.leaves {
+            let left = self.nodes[2 * i];
+            if point < left {
+                i *= 2;
+            } else {
+                point -= left;
+                i = 2 * i + 1;
+            }
+        }
+        i - self.leaves
+    }
+}
+
+/// Registered states with positive integer weights, sampled in proportion
+/// to weight in `O(log n)` (KLEE's discrete-PDF searchers).
+#[derive(Debug, Default)]
+struct WeightedSlots {
+    slots: Slots,
+    tree: SumTree,
+}
+
+impl WeightedSlots {
+    /// Registers `id` with `weight`, or re-weights it if already present.
+    fn insert(&mut self, id: StateId, weight: u128) {
+        let slot = self.slots.insert(id);
+        self.tree.set(slot, weight);
+    }
+
+    fn remove(&mut self, id: StateId) {
+        if let Some((slot, last)) = self.slots.remove(id) {
+            self.tree.set(slot, self.tree.weight(last));
+            self.tree.set(last, 0);
+        }
+    }
+
+    fn pick(&self, rng: &mut StdRng) -> Option<StateId> {
+        let total = self.tree.total();
+        if total == 0 {
+            return None;
+        }
+        Some(self.slots.ids[self.tree.find(uniform_below(rng, total))])
+    }
+}
+
+/// Draws uniformly from `0..bound` (rejection sampling over 128 bits).
+fn uniform_below(rng: &mut StdRng, bound: u128) -> u128 {
+    let zone = u128::MAX - u128::MAX % bound;
+    loop {
+        let v = (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>());
+        if v < zone {
+            return v % bound;
+        }
+    }
+}
+
+/// States in registration order, for the order-based strategies: each
+/// state carries a sequence number that a (re-)registration renews.
+#[derive(Debug, Default)]
+struct Sequenced {
+    order: BTreeMap<u64, StateId>,
+    seq_of: HashMap<StateId, u64>,
+    next_seq: u64,
+}
+
+impl Sequenced {
+    /// Registers `id` as the most recent state (moving it if present).
+    fn push(&mut self, id: StateId) {
+        self.remove(id);
+        self.order.insert(self.next_seq, id);
+        self.seq_of.insert(id, self.next_seq);
+        self.next_seq += 1;
+    }
+
+    fn remove(&mut self, id: StateId) {
+        if let Some(seq) = self.seq_of.remove(&id) {
+            self.order.remove(&seq);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.seq_of.len()
+    }
+}
+
 /// Depth-first search: always runs the most recently added state.
 #[derive(Debug, Default)]
 pub struct DfsSearcher {
-    stack: Vec<StateId>,
+    states: Sequenced,
 }
 
 impl DfsSearcher {
@@ -219,16 +401,16 @@ impl DfsSearcher {
 
 impl Searcher for DfsSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.stack.push(meta.id);
+        self.states.push(meta.id);
     }
     fn remove(&mut self, id: StateId) {
-        self.stack.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
-        self.stack.last().copied()
+        self.states.order.values().next_back().copied()
     }
     fn len(&self) -> usize {
-        self.stack.len()
+        self.states.len()
     }
     fn name(&self) -> &'static str {
         "dfs"
@@ -238,7 +420,7 @@ impl Searcher for DfsSearcher {
 /// Breadth-first search: runs states in the order they were created.
 #[derive(Debug, Default)]
 pub struct BfsSearcher {
-    queue: VecDeque<StateId>,
+    states: Sequenced,
 }
 
 impl BfsSearcher {
@@ -250,22 +432,19 @@ impl BfsSearcher {
 
 impl Searcher for BfsSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.queue.push_back(meta.id);
+        self.states.push(meta.id);
     }
     fn remove(&mut self, id: StateId) {
-        self.queue.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
         // Rotate so repeated selections cycle through states fairly.
-        if let Some(front) = self.queue.pop_front() {
-            self.queue.push_back(front);
-            Some(front)
-        } else {
-            None
-        }
+        let front = *self.states.order.values().next()?;
+        self.states.push(front);
+        Some(front)
     }
     fn len(&self) -> usize {
-        self.queue.len()
+        self.states.len()
     }
     fn name(&self) -> &'static str {
         "bfs"
@@ -275,7 +454,7 @@ impl Searcher for BfsSearcher {
 /// Uniformly random selection among active states.
 #[derive(Debug)]
 pub struct RandomSearcher {
-    states: Vec<StateId>,
+    states: Slots,
     rng: StdRng,
 }
 
@@ -283,7 +462,7 @@ impl RandomSearcher {
     /// Creates a random searcher with a fixed seed (deterministic runs).
     pub fn new(seed: u64) -> RandomSearcher {
         RandomSearcher {
-            states: Vec::new(),
+            states: Slots::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -291,17 +470,13 @@ impl RandomSearcher {
 
 impl Searcher for RandomSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push(meta.id);
+        self.states.insert(meta.id);
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|s| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
-        if self.states.is_empty() {
-            return None;
-        }
-        let idx = self.rng.gen_range(0..self.states.len());
-        Some(self.states[idx])
+        self.states.pick(&mut self.rng)
     }
     fn len(&self) -> usize {
         self.states.len()
@@ -316,7 +491,7 @@ impl Searcher for RandomSearcher {
 /// walking a balanced execution tree from the root.
 #[derive(Debug)]
 pub struct RandomPathSearcher {
-    states: Vec<(StateId, usize)>,
+    states: WeightedSlots,
     rng: StdRng,
 }
 
@@ -324,41 +499,29 @@ impl RandomPathSearcher {
     /// Creates a random-path searcher with a fixed seed.
     pub fn new(seed: u64) -> RandomPathSearcher {
         RandomPathSearcher {
-            states: Vec::new(),
+            states: WeightedSlots::default(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    fn weight(depth: usize) -> f64 {
-        // 2^-min(depth, 60) without underflow.
-        let d = depth.min(60) as i32;
-        2f64.powi(-d)
+    /// `2^-min(depth, 60)`, scaled by `2^60` to an exact integer.
+    fn weight(depth: usize) -> u128 {
+        1u128 << (60 - depth.min(60))
     }
 }
 
 impl Searcher for RandomPathSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push((meta.id, meta.depth));
+        self.states.insert(meta.id, Self::weight(meta.depth));
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|(s, _)| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
-        if self.states.is_empty() {
-            return None;
-        }
-        let total: f64 = self.states.iter().map(|(_, d)| Self::weight(*d)).sum();
-        let mut pick = self.rng.gen::<f64>() * total;
-        for (id, depth) in &self.states {
-            pick -= Self::weight(*depth);
-            if pick <= 0.0 {
-                return Some(*id);
-            }
-        }
-        self.states.last().map(|(id, _)| *id)
+        self.states.pick(&mut self.rng)
     }
     fn len(&self) -> usize {
-        self.states.len()
+        self.states.slots.len()
     }
     fn name(&self) -> &'static str {
         "random-path"
@@ -369,7 +532,7 @@ impl Searcher for RandomPathSearcher {
 /// are strongly preferred, the rest are weighted uniformly.
 #[derive(Debug)]
 pub struct CoverageOptimizedSearcher {
-    states: Vec<(StateId, usize)>,
+    states: WeightedSlots,
     rng: StdRng,
 }
 
@@ -377,39 +540,28 @@ impl CoverageOptimizedSearcher {
     /// Creates a coverage-optimized searcher with a fixed seed.
     pub fn new(seed: u64) -> CoverageOptimizedSearcher {
         CoverageOptimizedSearcher {
-            states: Vec::new(),
+            states: WeightedSlots::default(),
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    fn weight(new_coverage: usize) -> u128 {
+        1 + 10 * new_coverage as u128
     }
 }
 
 impl Searcher for CoverageOptimizedSearcher {
     fn add(&mut self, meta: StateMeta) {
-        self.states.push((meta.id, meta.new_coverage));
+        self.states.insert(meta.id, Self::weight(meta.new_coverage));
     }
     fn remove(&mut self, id: StateId) {
-        self.states.retain(|(s, _)| *s != id);
+        self.states.remove(id);
     }
     fn select(&mut self) -> Option<StateId> {
-        if self.states.is_empty() {
-            return None;
-        }
-        let total: f64 = self
-            .states
-            .iter()
-            .map(|(_, c)| 1.0 + 10.0 * *c as f64)
-            .sum();
-        let mut pick = self.rng.gen::<f64>() * total;
-        for (id, c) in &self.states {
-            pick -= 1.0 + 10.0 * *c as f64;
-            if pick <= 0.0 {
-                return Some(*id);
-            }
-        }
-        self.states.last().map(|(id, _)| *id)
+        self.states.pick(&mut self.rng)
     }
     fn len(&self) -> usize {
-        self.states.len()
+        self.states.slots.len()
     }
     fn name(&self) -> &'static str {
         "coverage-optimized"
@@ -442,13 +594,16 @@ type CupaClass = (u8, u32, u8);
 /// every class is selected at least once in any `k` consecutive picks.
 #[derive(Debug)]
 pub struct CupaSearcher {
-    /// States of each class; a class is removed when it empties.
-    classes: BTreeMap<CupaClass, Vec<StateId>>,
+    /// States of each class, one slot map per class; a class is removed
+    /// when it empties.
+    classes: BTreeMap<CupaClass, Slots>,
     /// Which class every registered state belongs to.
-    index: BTreeMap<StateId, CupaClass>,
+    index: HashMap<StateId, CupaClass>,
     /// Classes not yet visited in the current rotation (may contain stale
     /// keys of classes that emptied mid-rotation; `select` skips them).
     rotation: Vec<CupaClass>,
+    /// The keys currently in `rotation`, for `O(1)` membership checks.
+    queued: HashSet<CupaClass>,
     rng: StdRng,
 }
 
@@ -457,8 +612,9 @@ impl CupaSearcher {
     pub fn new(seed: u64) -> CupaSearcher {
         CupaSearcher {
             classes: BTreeMap::new(),
-            index: BTreeMap::new(),
+            index: HashMap::new(),
             rotation: Vec::new(),
+            queued: HashSet::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -479,45 +635,42 @@ impl CupaSearcher {
     pub fn num_classes(&self) -> usize {
         self.classes.len()
     }
+
+    fn remove_from_class(&mut self, id: StateId, class: CupaClass) {
+        if let Some(states) = self.classes.get_mut(&class) {
+            states.remove(id);
+            if states.len() == 0 {
+                self.classes.remove(&class);
+            }
+        }
+    }
 }
 
 impl Searcher for CupaSearcher {
     fn add(&mut self, meta: StateMeta) {
         let class = Self::classify(&meta);
-        if let Some(old) = self.index.insert(meta.id, class) {
-            if old != class {
-                if let Some(states) = self.classes.get_mut(&old) {
-                    states.retain(|s| *s != meta.id);
-                    if states.is_empty() {
-                        self.classes.remove(&old);
-                    }
-                }
-            } else {
-                return; // already registered under this class
-            }
+        match self.index.insert(meta.id, class) {
+            Some(old) if old == class => return, // already registered here
+            Some(old) => self.remove_from_class(meta.id, old),
+            None => {}
         }
         let states = self.classes.entry(class).or_default();
-        if states.is_empty() && !self.rotation.contains(&class) {
+        if states.len() == 0 && self.queued.insert(class) {
             // A class that becomes non-empty mid-rotation joins it, keeping
             // the every-class-within-k-picks guarantee for newcomers too.
-            // The containment check matters: the engine removes and re-adds
+            // The membership check matters: the engine removes and re-adds
             // the running state around every execution slice, and a
             // sole-member class must not enqueue a duplicate rotation entry
             // each time (the rotation would grow without bound and the hot
             // class would be drawn many times per round, starving the rest).
             self.rotation.push(class);
         }
-        states.push(meta.id);
+        states.insert(meta.id);
     }
 
     fn remove(&mut self, id: StateId) {
         if let Some(class) = self.index.remove(&id) {
-            if let Some(states) = self.classes.get_mut(&class) {
-                states.retain(|s| *s != id);
-                if states.is_empty() {
-                    self.classes.remove(&class);
-                }
-            }
+            self.remove_from_class(id, class);
         }
     }
 
@@ -528,6 +681,7 @@ impl Searcher for CupaSearcher {
                     return None;
                 }
                 self.rotation.extend(self.classes.keys().copied());
+                self.queued.extend(self.classes.keys().copied());
             }
             // Visit a uniformly random not-yet-visited class this rotation.
             let idx = if self.rotation.len() == 1 {
@@ -536,15 +690,11 @@ impl Searcher for CupaSearcher {
                 self.rng.gen_range(0..self.rotation.len())
             };
             let class = self.rotation.swap_remove(idx);
+            self.queued.remove(&class);
             let Some(states) = self.classes.get(&class) else {
                 continue; // emptied mid-rotation; skip its stale key
             };
-            let pick = if states.len() == 1 {
-                0
-            } else {
-                self.rng.gen_range(0..states.len())
-            };
-            return Some(states[pick]);
+            return states.pick(&mut self.rng);
         }
     }
 
@@ -857,6 +1007,114 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.num_classes(), 1);
         assert_eq!(s.select(), Some(StateId(1)));
+    }
+
+    #[test]
+    fn sum_tree_samples_in_proportion_to_weight() {
+        let mut s = WeightedSlots::default();
+        s.insert(StateId(1), 1);
+        s.insert(StateId(2), 3);
+        s.insert(StateId(3), 1);
+        s.remove(StateId(3));
+        let mut rng = StdRng::seed_from_u64(5);
+        let heavy = (0..4000)
+            .filter(|_| s.pick(&mut rng) == Some(StateId(2)))
+            .count();
+        assert!(
+            (2800..3200).contains(&heavy),
+            "heavy state picked {heavy}/4000"
+        );
+        s.remove(StateId(1));
+        s.remove(StateId(2));
+        assert_eq!(s.tree.total(), 0);
+        assert_eq!(s.pick(&mut rng), None);
+    }
+
+    /// One searcher operation drawn by the property tests: `(op, id,
+    /// depth)` and `(new_coverage, call_site, query_cost)`.
+    type Op = ((u8, u64, usize), (usize, u32, usize));
+
+    fn op_meta(((_, id, depth), (cov, site, cost)): Op) -> StateMeta {
+        StateMeta {
+            id: StateId(id),
+            depth,
+            new_coverage: cov,
+            call_site: site,
+            query_cost: cost,
+        }
+    }
+
+    fn ops() -> impl proptest::Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (
+                (0u8..3, 0u64..16, 0usize..70),
+                (0usize..4, 0u32..3, 0usize..600),
+            ),
+            0..200,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Any add/remove/select sequence: `select` only returns
+        /// registered states (and returns one whenever any is registered),
+        /// and `len` counts the registered states.
+        #[test]
+        fn prop_searchers_track_the_registered_set(ops in ops()) {
+            for kind in StrategyKind::ALL {
+                let mut s = build_searcher(kind, 7);
+                let mut live = std::collections::BTreeSet::new();
+                for op in &ops {
+                    let meta = op_meta(*op);
+                    match op.0 .0 {
+                        0 => {
+                            s.add(meta);
+                            live.insert(meta.id);
+                        }
+                        1 => {
+                            s.remove(meta.id);
+                            live.remove(&meta.id);
+                        }
+                        _ => match s.select() {
+                            Some(id) => proptest::prop_assert!(
+                                live.contains(&id),
+                                "{} selected unregistered {:?}", kind, id
+                            ),
+                            None => proptest::prop_assert!(live.is_empty(), "{} lost states", kind),
+                        },
+                    }
+                    proptest::prop_assert_eq!(s.len(), live.len());
+                }
+            }
+        }
+
+        /// The sum tree's root is exactly the sum of the live weights, and
+        /// every live state sits at the leaf of its slot.
+        #[test]
+        fn prop_sum_tree_root_is_the_live_weight_sum(ops in ops()) {
+            for weight in [
+                |m: &StateMeta| RandomPathSearcher::weight(m.depth),
+                |m: &StateMeta| CoverageOptimizedSearcher::weight(m.new_coverage),
+            ] {
+                let mut s = WeightedSlots::default();
+                let mut live: std::collections::BTreeMap<StateId, u128> = Default::default();
+                for op in &ops {
+                    let meta = op_meta(*op);
+                    if op.0 .0 == 1 {
+                        s.remove(meta.id);
+                        live.remove(&meta.id);
+                    } else {
+                        s.insert(meta.id, weight(&meta));
+                        live.insert(meta.id, weight(&meta));
+                    }
+                    proptest::prop_assert_eq!(s.tree.total(), live.values().sum::<u128>());
+                    for (slot, id) in s.slots.ids.iter().enumerate() {
+                        proptest::prop_assert_eq!(s.tree.weight(slot), live[id]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

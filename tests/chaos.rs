@@ -6,9 +6,12 @@
 //! affected job tree; these tests assert the resulting *exactness*: the
 //! final path count always equals an uninterrupted in-process run.
 
+mod common;
+
 use cloud9::core::{Cluster, ClusterConfig};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
+use common::{await_progress, progress_args, progress_checkpoint, remove_progress_checkpoint};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::mpsc;
@@ -128,6 +131,7 @@ fn stdout_field(stdout: &str, field: &str) -> u64 {
 #[test]
 fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     let expected = baseline_paths();
+    let checkpoint = progress_checkpoint("chaos-sigkill");
 
     let mut workers: Vec<WorkerProc> = (0..4)
         .map(|_| spawn_worker(&["--listen", "127.0.0.1:0", "--once", "--quiet"]))
@@ -162,11 +166,12 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
     ]
     .iter()
     .map(|s| s.to_string())
+    .chain(progress_args(&checkpoint))
     .collect();
     let (child, stderr) = spawn_coordinator(&args);
 
     await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    await_progress(&checkpoint, workers.len());
     // SIGKILL — no cleanup, no goodbye; its unsent results and its pending
     // jobs exist only as replayable path prefixes in the coordinator's
     // ledger now.
@@ -192,6 +197,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
         expected,
         "crash recovery lost or double-counted paths:\n{stdout}"
     );
+    remove_progress_checkpoint(&checkpoint);
 }
 
 /// Elastic membership: a cluster formed purely by `Join` handshakes, with
@@ -200,6 +206,7 @@ fn sigkill_one_of_four_workers_mid_run_preserves_the_path_count() {
 #[test]
 fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     let expected = baseline_paths();
+    let checkpoint = progress_checkpoint("chaos-late-joiner");
 
     let args: Vec<String> = [
         "--listen",
@@ -221,6 +228,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     ]
     .iter()
     .map(|s| s.to_string())
+    .chain(progress_args(&checkpoint))
     .collect();
     let (mut child, stderr) = spawn_coordinator(&args);
 
@@ -237,7 +245,8 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
     let _w1 = spawn_worker(&join_args);
     let _w2 = spawn_worker(&join_args);
     await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(200));
+    // Join as soon as the run is under way, while plenty of work remains.
+    await_progress(&checkpoint, 1);
     let _w3 = spawn_worker(&join_args);
 
     let mut stdout = String::new();
@@ -259,6 +268,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
         expected,
         "elastic membership changed the explored tree:\n{stdout}"
     );
+    remove_progress_checkpoint(&checkpoint);
 }
 
 /// Strategy portfolios under chaos: a 4-worker elastic cluster running the
@@ -271,6 +281,7 @@ fn late_joiner_is_folded_into_a_running_elastic_cluster() {
 #[test]
 fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
     let expected = baseline_paths();
+    let checkpoint = progress_checkpoint("chaos-portfolio");
 
     let args: Vec<String> = [
         "--listen",
@@ -299,6 +310,7 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
     ]
     .iter()
     .map(|s| s.to_string())
+    .chain(progress_args(&checkpoint))
     .collect();
     let (mut child, stderr) = spawn_coordinator(&args);
 
@@ -313,7 +325,7 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
     let join_args = ["--join", coordinator_addr.as_str(), "--once", "--quiet"];
     let mut workers: Vec<WorkerProc> = (0..4).map(|_| spawn_worker(&join_args)).collect();
     await_run_started(&stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    await_progress(&checkpoint, workers.len());
 
     // SIGKILL one member and send in a replacement immediately: its join
     // lands within milliseconds, well before the failure detector (0.75s)
@@ -365,6 +377,7 @@ fn portfolio_strategy_assignments_survive_worker_crash_and_rejoin() {
         expected,
         "portfolio crash/rejoin lost or double-counted paths:\n{stdout}"
     );
+    remove_progress_checkpoint(&checkpoint);
 }
 
 /// Checkpoint/resume: a run stopped by a path limit writes its final

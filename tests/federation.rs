@@ -6,16 +6,27 @@
 //! the explored path set equals an uninterrupted flat run, even when a
 //! sub-coordinator (and with it a whole group) dies mid-run.
 
+mod common;
+
 use cloud9::core::{Cluster, ClusterConfig, FederatedCluster, FederationConfig};
 use cloud9::ir::{BinaryOp, Operand, Program, ProgramBuilder, Width};
 use cloud9::posix::PosixEnvironment;
 use cloud9::targets::named_workload;
 use cloud9::vm::{sysno, NullEnvironment};
+use common::{await_progress, progress_args, progress_checkpoint, remove_progress_checkpoint};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Serializes the tests of this file. The process-level SIGKILL test races
+/// a kill against the end of a real run, and sharing two CPUs with the
+/// in-process 256-worker fleet can starve its observer until the run is
+/// over.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A program with `2^n` feasible paths: `n` independent branches on `n`
 /// symbolic bytes. Every path is cheap, so the interesting load is the
@@ -77,6 +88,7 @@ fn baseline_paths(program: &Arc<Program>) -> u64 {
 /// never what is explored.
 #[test]
 fn federated_256_workers_preserve_the_exact_path_count() {
+    let _exclusive = exclusive();
     let program = Arc::new(branching_program(8));
     let expected = baseline_paths(&program);
 
@@ -122,6 +134,7 @@ fn federated_256_workers_preserve_the_exact_path_count() {
 /// died with the sub), and exactly those jobs are re-executed elsewhere.
 #[test]
 fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
+    let _exclusive = exclusive();
     let program = Arc::new(branching_program(13));
     let expected = baseline_paths(&program);
 
@@ -150,7 +163,7 @@ fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
         4, // workers per group
     )
     .with_federation(fed)
-    .run_with_kill(Some((2, Duration::from_millis(300))));
+    .run_with_kill(Some(2));
 
     eprintln!(
         "paths={} expected={expected} failed={} transferred={} reclaimed={} elapsed={:?}",
@@ -184,6 +197,7 @@ fn sub_coordinator_death_mid_run_preserves_the_exact_path_count() {
 /// must not depend on the partitioning policy.
 #[test]
 fn federation_without_depth_partitioning_stays_exact() {
+    let _exclusive = exclusive();
     let program = Arc::new(branching_program(7));
     let expected = baseline_paths(&program);
 
@@ -358,7 +372,9 @@ fn stdout_field(stdout: &str, field: &str) -> u64 {
 /// exactly the uninterrupted path count.
 #[test]
 fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
+    let _exclusive = exclusive();
     let expected = target_baseline_paths();
+    let checkpoint = progress_checkpoint("federation-sigkill");
 
     let root_args: Vec<String> = [
         "--listen",
@@ -387,6 +403,7 @@ fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
     ]
     .iter()
     .map(|s| s.to_string())
+    .chain(progress_args(&checkpoint))
     .collect();
     let (mut root, root_stderr) = spawn_root(&root_args);
 
@@ -409,7 +426,9 @@ fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
         .collect();
 
     await_run_started(&root_stderr);
-    std::thread::sleep(Duration::from_millis(400));
+    // Inter-group balancing may not reach every group before the end of
+    // the run, so any group's progress is the signal here.
+    await_progress(&checkpoint, 1);
     // SIGKILL one sub: its uplink heartbeats stop, its group is orphaned,
     // and its members exit on the dead endpoint. Everything it had not yet
     // reported exists only as replayable prefixes in the root's ledger.
@@ -436,4 +455,5 @@ fn sigkill_sub_coordinator_process_mid_run_preserves_the_path_count() {
         expected,
         "sub-coordinator SIGKILL lost or double-counted paths:\n{stdout}"
     );
+    remove_progress_checkpoint(&checkpoint);
 }
